@@ -28,7 +28,6 @@ import (
 
 	"shadow/internal/exp"
 	"shadow/internal/obs"
-	"shadow/internal/obs/fleet"
 	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
 	"shadow/internal/report"
@@ -49,10 +48,6 @@ func main() {
 	blame := flag.Bool("blame", false, "print a shadowtap stall-blame table covering every scheme run (forces sequential points)")
 	inspect := flag.String("inspect", "", "serve a live run inspector on this address (forces sequential points)")
 	workers := flag.Int("workers", 0, "concurrent operating points per sweep (0 = GOMAXPROCS; probing flags still force 1)")
-	fleetInspect := flag.String("fleet-inspect", "", "serve the shadowfleet dashboard on this address (keeps the sweep parallel)")
-	fleetScrape := flag.String("fleet-scrape", "", "comma-separated remote workers to scrape into the fleet, each 'id=http://host:port' or a bare URL")
-	fleetScrapeInterval := flag.Duration("fleet-scrape-interval", time.Second, "remote worker scrape interval")
-	fleetOut := flag.String("fleet-out", "", "write the final fleet.json roll-up to this file at exit")
 	flightCap := flag.Int("flight", 0, "flight recorder capacity in events (0 disables; forces sequential points)")
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump to this JSON file at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness")
@@ -207,101 +202,6 @@ func main() {
 		}
 	}
 
-	// Fleet observability (shadowfleet): unlike -inspect, the fleet hooks do
-	// NOT force the sweep sequential — every fan-out worker gets its own
-	// recorder (only ever touched from that worker's goroutine), renders it
-	// to Prometheus text on its own goroutine, and hands the bytes to the
-	// internally-locked collector; remote workers arrive through the same
-	// parser via the scrape poller.
-	var fleetCol *fleet.Collector
-	var fleetShutdown func()
-	var poller *fleet.Poller
-	if *fleetInspect != "" || *fleetScrape != "" || *fleetOut != "" {
-		fleetCol = fleet.NewCollector(fleet.Options{Clock: time.Now})
-		fleetCol.Watch().OnTrip(func(tr flight.Trip) {
-			fmt.Fprintf(os.Stderr, "fleet watchdog %s tripped: %s\n", tr.Watchdog, tr.Detail)
-		})
-		maxWorkers := o.Workers
-		if maxWorkers <= 0 {
-			maxWorkers = runtime.GOMAXPROCS(0)
-		}
-		// Per-worker recorders, indexed by the stable fan-out worker id; slot
-		// w is only ever touched from worker w's goroutine.
-		workerRecs := make([]*obs.Recorder, maxWorkers)
-		wid := func(worker int) string { return fmt.Sprintf("w%d", worker) }
-		ingestWorker := func(worker int) {
-			if worker >= len(workerRecs) || workerRecs[worker] == nil {
-				return
-			}
-			m := workerRecs[worker].Metrics()
-			if m == nil {
-				return
-			}
-			var b bytes.Buffer
-			if err := m.WritePrometheus(&b); err != nil {
-				return
-			}
-			fleetCol.Ingest(wid(worker), b.Bytes())
-		}
-		if o.ProbeFor == nil {
-			// -trace-out/-metrics-out own the probes (and force the sweep
-			// sequential); without them each worker records its own metrics.
-			o.WorkerProbe = func(worker int, label string) *obs.Probe {
-				if worker < len(workerRecs) && workerRecs[worker] == nil {
-					workerRecs[worker] = obs.NewRecorder(obs.Options{Metrics: true})
-				}
-				if worker < len(workerRecs) {
-					return workerRecs[worker].NewTrack(label)
-				}
-				return nil
-			}
-		}
-		o.OnPointsPlanned = fleetCol.ExpectPoints
-		o.OnPointStart = func(worker int, label, scheme string, seed uint64) {
-			fleetCol.PointStart(wid(worker), label, scheme, seed)
-		}
-		o.OnPointProgress = func(worker int, label string, now, total timing.Tick) {
-			if fleetCol.PointProgress(wid(worker), label, now, total) {
-				ingestWorker(worker)
-				fleetCol.Tick()
-			}
-		}
-		o.OnPointDone = func(worker int, label, scheme string, seed, cmdHash uint64, rel float64) {
-			fleetCol.PointDone(wid(worker), label, scheme, seed, cmdHash)
-			ingestWorker(worker)
-			fleetCol.Tick()
-		}
-		if *fleetScrape != "" {
-			var targets []fleet.Target
-			for _, s := range strings.Split(*fleetScrape, ",") {
-				t, err := fleet.ParseTarget(strings.TrimSpace(s))
-				exitOn(err)
-				targets = append(targets, t)
-			}
-			poller = fleet.NewPoller(fleetCol, targets, nil)
-			poller.Start(*fleetScrapeInterval)
-		}
-		if *fleetInspect != "" {
-			srv := &http.Server{Addr: *fleetInspect, Handler: fleetCol.Handler()}
-			errc := make(chan error, 1)
-			go func() {
-				errc <- srv.ListenAndServe()
-			}()
-			fmt.Fprintf(os.Stderr, "fleet: serving dashboard on %s\n", *fleetInspect)
-			fleetShutdown = func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				defer cancel()
-				if err := srv.Shutdown(ctx); err != nil {
-					fmt.Fprintf(os.Stderr, "fleet: shutdown: %v\n", err)
-				}
-				if err := <-errc; err != nil && err != http.ErrServerClosed {
-					fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-				}
-				fmt.Fprintf(os.Stderr, "fleet: dashboard shut down\n")
-			}
-		}
-	}
-
 	type result struct {
 		table  *exp.Table
 		points []exp.PerfPoint
@@ -414,31 +314,7 @@ func main() {
 	if insShutdown != nil {
 		insShutdown()
 	}
-	if poller != nil {
-		poller.Stop()
-	}
-	if fleetCol != nil {
-		fleetCol.Tick() // final trends + watchdog pass before the last snapshot
-		if *fleetOut != "" {
-			f, err := os.Create(*fleetOut)
-			exitOn(err)
-			_, werr := f.Write(fleetCol.MarshalFleet())
-			exitOn(werr)
-			exitOn(f.Close())
-			fmt.Fprintf(os.Stderr, "fleet: roll-up -> %s\n", *fleetOut)
-		}
-	}
-	if fleetShutdown != nil {
-		fleetShutdown()
-	}
 	if tr := watch.Tripped(); tr != nil {
-		os.Exit(1)
-	}
-	// A fleet divergence trip is a correctness violation (same point+seed
-	// hashed differently on two workers) and fails the run; straggler and
-	// stalled-worker trips are performance anomalies — reported on stderr,
-	// the dashboard, and fleet.json, but not fatal.
-	if tr := fleetCol.Watch().Tripped(); tr != nil && tr.Watchdog == "fleet-divergence" {
 		os.Exit(1)
 	}
 }

@@ -35,11 +35,6 @@ var restrictedPkgs = map[string]bool{
 	// order-dependent fold there breaks the bit-identical-with-probes
 	// guarantee and the stall-conservation invariant.
 	"shadow/internal/obs/span": true,
-	// The fleet aggregator merges per-worker metrics into exposition and
-	// JSON payloads that must render byte-identically from identical state
-	// (the dashboard is diffed in tests): the collector's wall clock is
-	// injected from the cmd layer and every map fold is sorted.
-	"shadow/internal/obs/fleet": true,
 }
 
 // wallClockFuncs are time-package functions that read the wall clock.

@@ -26,9 +26,7 @@ import (
 // no channel operation can never terminate and is always a finding. The
 // deliberate process-lifetime goroutine (an HTTP server torn down only
 // at exit) states its contract with a //shadowvet:ignore goroleak
-// waiver. The ROADMAP's sharded sweep service and fleet dashboard will
-// multiply goroutine spawn sites; this gate exists before that code
-// does.
+// waiver.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc: "require every go statement to show a termination signal: a channel op, a context, " +

@@ -40,7 +40,6 @@ var layerImports = map[string][]string{
 	"obs":        {"timing"},
 	"obs/span":   {"obs", "timing"},
 	"obs/flight": {"obs", "obs/span", "timing"},
-	"obs/fleet":  {"obs", "obs/flight", "obs/span", "timing"},
 	"report":     {"obs", "obs/span", "timing"},
 
 	// The device and what plugs into it.

@@ -10,9 +10,9 @@ import (
 	"shadow/internal/analysis/cfg"
 )
 
-// LockFlow is the flow-sensitive successor of the locks pairing check:
-// instead of asking "is there an Unlock somewhere in this function", it
-// builds the function's control-flow graph and proves, per path, that
+// LockFlow is the flow-sensitive Lock/Unlock pairing check: instead of
+// asking "is there an Unlock somewhere in this function", it builds the
+// function's control-flow graph and proves, per path, that
 //
 //   - every mu.Lock()/mu.RLock() is released on every path to the
 //     function's exit — including early returns and explicit panics,
@@ -35,6 +35,31 @@ var LockFlow = &Analyzer{
 	Doc: "prove every Lock/RLock is released on all paths (early returns, panics-via-defer), " +
 		"and flag double-locks and locks held across channel ops or WaitGroup.Wait",
 	Run: runLockFlow,
+}
+
+// syncMethod matches calls to methods defined in package sync
+// (Lock/Unlock/RLock/RUnlock/Wait/Done/...) and returns the method name,
+// the rendered receiver expression, and the receiver's named type (Mutex,
+// RWMutex, WaitGroup, Cond). Shared by the lockflow, goroleak, and
+// sharedflow analyzers.
+func syncMethod(pass *Pass, call *ast.CallExpr) (name, recv, typeName string, ok bool) {
+	sel, isSel := call.Fun.(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", "", false
+	}
+	fn, isFn := pass.Info.Uses[sel.Sel].(*types.Func)
+	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
+		return "", "", "", false
+	}
+	if t := pass.Info.TypeOf(sel.X); t != nil {
+		if ptr, isPtr := t.Underlying().(*types.Pointer); isPtr {
+			t = ptr.Elem()
+		}
+		if named, isNamed := t.(*types.Named); isNamed {
+			typeName = named.Obj().Name()
+		}
+	}
+	return fn.Name(), types.ExprString(sel.X), typeName, true
 }
 
 func runLockFlow(pass *Pass) {

@@ -1,42 +1,7 @@
 package analysis
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func TestLockFlowFixtures(t *testing.T) {
 	checkFixture(t, LockFlow, loadFixture(t, "lockflow", ""))
-}
-
-// TestLocksWaiverAlias: a //shadowvet:ignore locks directive written
-// against the deprecated pairing check must suppress the lockflow
-// successor's finding (waived.go) and count as used, so migrated
-// waivers are not judged stale even with hygiene on and both analyzers
-// running.
-func TestLocksWaiverAlias(t *testing.T) {
-	pkg := loadFixture(t, "lockflow", "")
-	diags := Run([]*Package{pkg}, []*Analyzer{Locks, LockFlow}, Options{CheckWaivers: true})
-	if len(diags) == 0 {
-		t.Fatal("bad.go should still produce lockflow findings")
-	}
-	for _, d := range diags {
-		if filepath.Base(d.Pos.Filename) == "waived.go" {
-			t.Errorf("the locks-named waiver must suppress lockflow findings in waived.go: %v", d)
-		}
-		if d.Analyzer == WaiverAnalyzerName {
-			t.Errorf("a waiver used through the locks→lockflow alias is not stale: %v", d)
-		}
-	}
-}
-
-// TestWaiverAliasIsOneDirectional: an explicit lockflow directive does
-// not reach back to suppress locks findings.
-func TestWaiverAliasIsOneDirectional(t *testing.T) {
-	if waiverCovers("lockflow", "locks") {
-		t.Error("lockflow directive must not suppress locks findings")
-	}
-	if !waiverCovers("locks", "lockflow") {
-		t.Error("locks directive must suppress lockflow findings")
-	}
 }

@@ -26,10 +26,6 @@ var nilGuarded = map[string]map[string]bool{
 		"Watch":   true,
 		"CmdHash": true,
 	},
-	"shadow/internal/obs/fleet": {
-		"Collector": true,
-		"Store":     true,
-	},
 }
 
 // NilGuard enforces the nil-safe hot-path contract: every exported method
@@ -42,8 +38,8 @@ var nilGuarded = map[string]map[string]bool{
 var NilGuard = &Analyzer{
 	Name: "nilguard",
 	Doc: "require exported methods on nil-safe obs hot-path types (obs.Probe, obs.Heartbeat, " +
-		"span.Tracker, span.Collector, flight.Ring, flight.Watch, flight.CmdHash, " +
-		"fleet.Collector, fleet.Store) to begin with a nil-receiver guard",
+		"span.Tracker, span.Collector, flight.Ring, flight.Watch, flight.CmdHash) " +
+		"to begin with a nil-receiver guard",
 	Run: runNilGuard,
 }
 

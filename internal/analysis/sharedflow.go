@@ -26,10 +26,6 @@ var sharedHotTypes = map[string]bool{
 	// internally, so any *field* write from a goroutine or callback without
 	// the ring's own mutex is a bug.
 	"flight.Ring": true,
-	// The fleet collector is fed from every sweep worker goroutine, the
-	// scrape poller, and HTTP handlers at once; all of its state is guarded
-	// by one mutex, so a bare field write from a goroutine is a race.
-	"fleet.Collector": true,
 }
 
 // SharedFlow protects those invariants at the concurrency boundary:

@@ -1,11 +1,10 @@
 package lockflow
 
-// The deprecated locks pairing rule lives on as a waiver alias: this
-// directive, written against the old analyzer name, keeps suppressing
-// the flow-sensitive successor's finding, so waivers migrate unedited.
+// A lockflow waiver suppresses the unreleased-lock finding on its line:
+// the release happens in another function by design.
 
 func handedToCaller(c *counter) {
-	c.mu.Lock() //shadowvet:ignore locks -- acquired for the caller; released by releaseCounter when the batch completes
+	c.mu.Lock() //shadowvet:ignore lockflow -- acquired for the caller; released by releaseCounter when the batch completes
 	c.n++
 }
 

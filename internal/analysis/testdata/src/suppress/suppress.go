@@ -23,7 +23,7 @@ func wrongName(m map[int]int) int {
 	// A directive naming a different analyzer must not waive this one.
 	unsuppressed := 0
 	for _, v := range m {
-		unsuppressed += v //shadowvet:ignore locks -- names the wrong analyzer
+		unsuppressed += v //shadowvet:ignore lockflow -- names the wrong analyzer
 	}
 	return unsuppressed
 }

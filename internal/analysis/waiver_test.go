@@ -57,7 +57,6 @@ func TestWaiverHygieneSubsetRuns(t *testing.T) {
 func TestRunParallelMatchesSequential(t *testing.T) {
 	fixtures := []struct{ name, path string }{
 		{"panicmsg", ""},
-		{"locks", ""},
 		{"determinism", "shadow/internal/sim"},
 		{"exhaustive", ""},
 		{"nilguard", "shadow/internal/obs"},

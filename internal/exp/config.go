@@ -41,10 +41,8 @@ import (
 	"shadow/internal/circuit"
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
-	"shadow/internal/memctrl"
 	"shadow/internal/mitigate"
 	"shadow/internal/obs"
-	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
 	"shadow/internal/security"
 	"shadow/internal/shadow"
@@ -243,35 +241,6 @@ type RunOpts struct {
 	// instead of the tick-skipping event wheel (see sim.Config.NoTimeSkip):
 	// the wall-clock baseline for BenchmarkSim and the equivalence tests.
 	NoTimeSkip bool
-
-	// Fleet hooks (shadowfleet, internal/obs/fleet). Unlike ProbeFor /
-	// SpansFor / Progress these do NOT force Workers=1: the fleet collector
-	// synchronizes internally, and WorkerProbe hands each fan-out worker its
-	// own recorder, so the sweep keeps its full parallelism while being
-	// observed. All hooks may be called concurrently from every worker.
-	//
-	// OnPointsPlanned announces a sweep's job count before any point runs
-	// (fleet progress % and ETA need the denominator; called once per
-	// figure sweep, counts accumulate).
-	OnPointsPlanned func(n int)
-	// OnPointStart fires when a worker picks up an operating point.
-	OnPointStart func(worker int, label, scheme string, seed uint64)
-	// OnPointProgress mirrors Progress per worker (label, sim now/total).
-	OnPointProgress func(worker int, label string, now, total timing.Tick)
-	// OnPointDone fires after a point's scheme run completes, carrying the
-	// order-sensitive FNV hash of its DRAM command log (the fleet divergence
-	// watchdog compares it across workers for same point+seed) and the
-	// measured relative performance. Setting it attaches an observation-only
-	// sim.Config.OnCommand hook to scheme runs.
-	OnPointDone func(worker int, label, scheme string, seed, cmdHash uint64, rel float64)
-	// WorkerProbe supplies a per-(worker, point) shadowscope probe; use it
-	// instead of ProbeFor when the sweep should stay parallel. The probe's
-	// recorder is only ever touched from that worker's goroutine.
-	WorkerProbe func(worker int, label string) *obs.Probe
-
-	// workerID is the fan-out worker index running this point, threaded by
-	// runJobs through its per-worker RunOpts copy.
-	workerID int
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -318,48 +287,27 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 
 	p, dm, mc := pt.Build(geo, o.Duration)
 	label := pointLabel(pt, profiles)
-	if o.OnPointStart != nil {
-		o.OnPointStart(o.workerID, label, string(pt.Scheme), o.Seed)
-	}
 	var probe *obs.Probe
 	if o.ProbeFor != nil {
 		probe = o.ProbeFor(label)
-	} else if o.WorkerProbe != nil {
-		probe = o.WorkerProbe(o.workerID, label)
 	}
 	var spans *span.Collector
 	if o.SpansFor != nil {
 		spans = o.SpansFor(label)
 	}
 	var progress func(timing.Tick)
-	if o.Progress != nil || o.OnPointProgress != nil {
-		progress = func(now timing.Tick) {
-			if o.Progress != nil {
-				o.Progress(label, now, total)
-			}
-			if o.OnPointProgress != nil {
-				o.OnPointProgress(o.workerID, label, now, total)
-			}
-		}
-	}
-	var cmdHash *flight.CmdHash
-	var onCommand func(ch int, cmd memctrl.Cmd)
-	if o.OnPointDone != nil {
-		cmdHash = flight.NewCmdHash()
-		onCommand = func(ch int, cmd memctrl.Cmd) {
-			cmdHash.Note(int(cmd.Kind), cmd.Bank, cmd.Row, cmd.At)
-		}
+	if o.Progress != nil {
+		progress = func(now timing.Tick) { o.Progress(label, now, total) }
 	}
 	res, err := sim.Run(sim.Config{
 		Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
-		Hammer:    hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
-		Workload:  trace.Generators(profiles, geo, o.Seed),
-		Duration:  total,
-		Warmup:    o.Warmup,
-		Probe:     probe,
-		Spans:     spans,
-		Progress:  progress,
-		OnCommand: onCommand,
+		Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
+		Workload: trace.Generators(profiles, geo, o.Seed),
+		Duration: total,
+		Warmup:   o.Warmup,
+		Probe:    probe,
+		Spans:    spans,
+		Progress: progress,
 
 		FullRescan: o.FullRescan,
 		NoTimeSkip: o.NoTimeSkip,
@@ -367,20 +315,16 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 	if err != nil {
 		return 0, nil, err
 	}
-	ws := sim.WeightedSpeedup(res, baseRes)
-	if o.OnPointDone != nil {
-		o.OnPointDone(o.workerID, label, string(pt.Scheme), o.Seed, cmdHash.Sum(), ws)
-	}
-	return ws, res, nil
+	return sim.WeightedSpeedup(res, baseRes), res, nil
 }
 
 // pointLabel names a scheme run's shadowscope track. The label must be
-// injective over the point's configuration: the fleet divergence watchdog
-// compares command hashes of completions sharing a (label, seed) key, so
-// two differently-configured points with one label would falsely trip it
-// (Fig. 9 varies tRCD, Fig. 10 blast radius, Fig. 11 the DRAM grade, all
-// at a fixed scheme/workload/H_cnt). Non-default fields append suffixes
-// so the common case keeps the short scheme/workload/hNNNN form.
+// injective over the point's configuration: it keys ProbeFor's Perfetto
+// tracks and SpansFor's blame rows, so two differently-configured points
+// sharing one label would merge into one track and one blame row (Fig. 9
+// varies tRCD, Fig. 10 blast radius, Fig. 11 the DRAM grade, all at a
+// fixed scheme/workload/H_cnt). Non-default fields append suffixes so the
+// common case keeps the short scheme/workload/hNNNN form.
 func pointLabel(pt Point, profiles []trace.Profile) string {
 	names := ""
 	for i, p := range profiles {
@@ -454,18 +398,14 @@ func baselineRun(grade timing.Grade, profiles []trace.Profile, geo dram.Geometry
 	return res, nil
 }
 
-// parallelEach runs f(worker, i) for i in [0, n) on up to workers
-// goroutines and returns the first error. Experiment figures use it to
-// sweep operating points concurrently; each point's simulation is
-// independent (the shared baseline cache is internally synchronized). The
-// worker index identifies the goroutine running the item — stable across
-// the call, in [0, workers) — so per-worker state (fleet identity,
-// per-worker recorders) needs no further synchronization. The sequential
-// path runs everything as worker 0.
-func parallelEach(n, workers int, f func(worker, i int) error) error {
+// parallelEach runs f(i) for i in [0, n) on up to workers goroutines and
+// returns the first error. Experiment figures use it to sweep operating
+// points concurrently; each point's simulation is independent (the shared
+// baseline cache is internally synchronized).
+func parallelEach(n, workers int, f func(i int) error) error {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
-			if err := f(0, i); err != nil {
+			if err := f(i); err != nil {
 				return err
 			}
 		}
@@ -482,14 +422,14 @@ func parallelEach(n, workers int, f func(worker, i int) error) error {
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for {
 				i := int(atomic.AddInt64(&next, 1)) - 1
 				if i >= n {
 					return
 				}
-				if err := f(worker, i); err != nil {
+				if err := f(i); err != nil {
 					errMu.Lock()
 					if first == nil {
 						first = err
@@ -498,7 +438,7 @@ func parallelEach(n, workers int, f func(worker, i int) error) error {
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	return first

@@ -338,3 +338,33 @@ func TestChartRendersPerfPoints(t *testing.T) {
 		}
 	}
 }
+
+// TestPointLabelInjective: labels key ProbeFor's Perfetto tracks and
+// SpansFor's blame rows, so points that build different configurations must
+// never share one, or two runs would merge into one track and one blame
+// row. Fig. 9's tRCD variants of one workload+H_cnt used to collide.
+func TestPointLabelInjective(t *testing.T) {
+	profiles := trace.MixHigh(1)
+	pts := []Point{
+		{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666},
+		{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, TRCDCycles: 23},
+		{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, TRCDCycles: 25},
+		{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, Blast: 1},
+		{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, Blast: 5},
+		{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR5_4800},
+		{Scheme: DRR, HCnt: 4096, Grade: timing.DDR4_2666},
+		{Scheme: Shadow, HCnt: 2048, Grade: timing.DDR4_2666},
+	}
+	seen := map[string]Point{}
+	for _, pt := range pts {
+		label := pointLabel(pt, profiles)
+		if prev, dup := seen[label]; dup {
+			t.Errorf("label %q collides: %+v and %+v", label, prev, pt)
+		}
+		seen[label] = pt
+	}
+	// The default point keeps the short, documented form.
+	if got := pointLabel(pts[0], profiles); got != "shadow/"+profiles[0].Name+"/h4096" {
+		t.Errorf("default label = %q, want the short scheme/workload/hNNNN form", got)
+	}
+}

@@ -44,14 +44,9 @@ func runJobs(jobs []perfJob, o RunOpts) error {
 			return err
 		}
 	}
-	if o.OnPointsPlanned != nil {
-		o.OnPointsPlanned(len(jobs))
-	}
-	return parallelEach(len(jobs), o.Workers, func(worker, i int) error {
+	return parallelEach(len(jobs), o.Workers, func(i int) error {
 		j := jobs[i]
-		ow := o
-		ow.workerID = worker
-		ws, _, err := runPoint(j.pt, append([]trace.Profile(nil), j.profiles...), ow)
+		ws, _, err := runPoint(j.pt, append([]trace.Profile(nil), j.profiles...), o)
 		if err != nil {
 			return fmt.Errorf("%s/%s: %w", j.workload, j.pt.Scheme, err)
 		}

@@ -42,7 +42,6 @@ type Stats struct {
 	Acts, Reads, Writes, Pres int64
 	Refs, RFMs, SkippedRFMs   int64
 	Swaps, TRRs               int64
-	RowHits, RowMisses        int64
 	ReadLatency               timing.Tick // sum over completed reads (arrive -> data)
 	CompletedReads            int64
 	CompletedWrites           int64
@@ -1082,7 +1081,6 @@ func (c *Controller) tryDemand(now timing.Tick, i int) (timing.Tick, bool) {
 	b.trrOpen = false
 	b.raa++
 	c.Stats.Acts++
-	c.Stats.RowMisses++ // the head request needed this ACT
 	c.noteACT(now, i)
 	if c.opt.RFMFilter != nil {
 		c.opt.RFMFilter.Observe(i, phys, now)
@@ -1139,12 +1137,14 @@ func (c *Controller) performSwap(s *mitigate.SwapRequest, now timing.Tick) {
 }
 
 // RowHitRate returns the fraction of column commands served without an ACT.
+// Every ACT except a TRR refresh opens a row for a demand request, so the
+// row misses are Acts - TRRs.
 func (s *Stats) RowHitRate() float64 {
 	total := s.Reads + s.Writes
 	if total == 0 {
 		return 0
 	}
-	return 1 - float64(s.RowMisses)/float64(total)
+	return 1 - float64(s.Acts-s.TRRs)/float64(total)
 }
 
 // AvgReadLatency returns the mean arrive-to-data latency.

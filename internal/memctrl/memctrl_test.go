@@ -317,7 +317,8 @@ func TestOnCompleteCallback(t *testing.T) {
 }
 
 func TestStatsHelpers(t *testing.T) {
-	s := Stats{Reads: 8, Writes: 2, RowMisses: 4, ReadLatency: 80, CompletedReads: 8}
+	// 6 ACTs, 2 of them TRR refreshes: 4 demand row misses over 10 CAS.
+	s := Stats{Reads: 8, Writes: 2, Acts: 6, TRRs: 2, ReadLatency: 80, CompletedReads: 8}
 	if got := s.RowHitRate(); got != 0.6 {
 		t.Fatalf("RowHitRate = %g", got)
 	}

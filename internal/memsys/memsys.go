@@ -112,8 +112,6 @@ func (s *System) Stats() memctrl.Stats {
 		t.SkippedRFMs += st.SkippedRFMs
 		t.Swaps += st.Swaps
 		t.TRRs += st.TRRs
-		t.RowHits += st.RowHits
-		t.RowMisses += st.RowMisses
 		t.ReadLatency += st.ReadLatency
 		t.CompletedReads += st.CompletedReads
 		t.CompletedWrites += st.CompletedWrites

@@ -152,7 +152,9 @@ type runner struct {
 	mc      *memsys.System
 	devices []*dram.Device
 
-	// Event-wheel state (see tickWheel; unused under Config.NoTimeSkip).
+	// Event-wheel state (see tickWheel). Under Config.NoTimeSkip the shared
+	// retire/issue phases still write coreq and chDirty, but nothing reads
+	// them.
 	// ctls caches the per-channel controllers so the wheel can step a single
 	// channel. coreq holds every unstalled core keyed by its next issue time;
 	// stalled cores leave the queue and re-enter on retire. ctlNext caches
@@ -393,77 +395,24 @@ func (r *runner) tick() {
 // tickStep is the per-tick oracle: every wakeup retires, scans every core,
 // and steps every channel, then advances to the minimum of the raw Step
 // returns, the earliest unstalled core, and the earliest completion. Kept
-// verbatim (bar the shared O(1) progress catch-up) as the reference for
-// TestSchedulerEquivalence's wheel axis.
+// as the reference for TestSchedulerEquivalence's wheel axis: it shares
+// only the retire and issue phases with tickWheel, not the core selection,
+// stepping, or advance.
 func (r *runner) tickStep() {
 	cfg := r.cfg
 	now := r.now
 
-	// 1. Retire completions due by now, recomputing the earliest surviving
-	// completion in the same pass (onComplete keeps it current for inserts).
+	// 1. Retire completions due by now.
 	if r.nextDone <= now {
-		nextDone := timing.Forever
-		for i := 0; i < len(r.inflight); {
-			if r.inflight[i].at <= now {
-				c := r.cores[r.inflight[i].core]
-				c.outstanding--
-				if c.stalled {
-					c.stalled = false
-					if c.nextIssueAt < r.inflight[i].at {
-						c.nextIssueAt = r.inflight[i].at
-					}
-				}
-				r.inflight[i] = r.inflight[len(r.inflight)-1]
-				r.inflight = r.inflight[:len(r.inflight)-1]
-			} else {
-				if r.inflight[i].at < nextDone {
-					nextDone = r.inflight[i].at
-				}
-				i++
-			}
-		}
-		r.nextDone = nextDone
+		r.retire(now)
 	}
 
-	// 2. Cores issue due requests, recycling Request objects off the free
-	// list (whole-struct reset: a recycled request must not leak its old
-	// Span pointer or channel-rewritten bank index into the new attempt).
-	// Each core's next wake-up is folded into coreNext as its issue loop
-	// ends — core state never changes after its own iteration, so the
-	// advance phase needs no second scan.
+	// 2. Every core issues its due requests. Each core's next wake-up is
+	// folded into coreNext as its issue loop ends — core state never changes
+	// after its own iteration, so the advance phase needs no second scan.
 	coreNext := timing.Forever
 	for id, c := range r.cores {
-		for !c.stalled && c.nextIssueAt <= now {
-			if c.outstanding >= cfg.MSHR {
-				c.stalled = true
-				break
-			}
-			req := r.getReq()
-			*req = memctrl.Request{
-				Core:   id,
-				Bank:   c.pending.Bank,
-				Row:    c.pending.Row,
-				Col:    c.pending.Col,
-				Write:  c.pending.Write,
-				Arrive: now,
-			}
-			if !r.mc.Enqueue(req) {
-				// Bank queue full: retry after a short backoff.
-				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
-				if !c.backoff {
-					c.backoff, c.backoffAt = true, now
-				}
-				c.nextIssueAt = now + cfg.Params.TCK*4
-				break
-			}
-			if c.backoff {
-				req.Span.NoteBackpressure(c.backoffAt)
-				c.backoff = false
-			}
-			c.outstanding++
-			c.fetch(cfg.InstPerNS, now)
-			r.instSeries.Add(now, float64(c.pending.Gap))
-		}
+		r.issue(id, now)
 		if !c.stalled && c.nextIssueAt > now && c.nextIssueAt < coreNext {
 			coreNext = c.nextIssueAt
 		}
@@ -494,6 +443,80 @@ func (r *runner) tickStep() {
 	r.noteProgress()
 }
 
+// retire completes the requests due by now, recomputing the earliest
+// surviving completion in the same pass (onComplete keeps it current for
+// inserts). Callers skip it while r.nextDone > now, when nothing is due. A
+// core that unstalls re-enters coreq at its adjusted issue time; the
+// per-tick loop never reads coreq, so both loops share this pass.
+func (r *runner) retire(now timing.Tick) {
+	nextDone := timing.Forever
+	for i := 0; i < len(r.inflight); {
+		if r.inflight[i].at <= now {
+			c := r.cores[r.inflight[i].core]
+			c.outstanding--
+			if c.stalled {
+				c.stalled = false
+				if c.nextIssueAt < r.inflight[i].at {
+					c.nextIssueAt = r.inflight[i].at
+				}
+				r.coreq.Set(r.inflight[i].core, c.nextIssueAt)
+			}
+			r.inflight[i] = r.inflight[len(r.inflight)-1]
+			r.inflight = r.inflight[:len(r.inflight)-1]
+		} else {
+			if r.inflight[i].at < nextDone {
+				nextDone = r.inflight[i].at
+			}
+			i++
+		}
+	}
+	r.nextDone = nextDone
+}
+
+// issue lets core id issue every request due by now, recycling Request
+// objects off the free list (whole-struct reset: a recycled request must
+// not leak its old Span pointer or channel-rewritten bank index into the
+// new attempt). Each accepted request marks its channel dirty so the wheel
+// steps it this tick; the per-tick loop steps every channel regardless.
+func (r *runner) issue(id int, now timing.Tick) {
+	cfg := r.cfg
+	c := r.cores[id]
+	for !c.stalled && c.nextIssueAt <= now {
+		if c.outstanding >= cfg.MSHR {
+			c.stalled = true
+			return
+		}
+		req := r.getReq()
+		*req = memctrl.Request{
+			Core:   id,
+			Bank:   c.pending.Bank,
+			Row:    c.pending.Row,
+			Col:    c.pending.Col,
+			Write:  c.pending.Write,
+			Arrive: now,
+		}
+		ok, ch := r.mc.EnqueueCh(req)
+		if !ok {
+			// Bank queue full: retry after a short backoff. A failed
+			// enqueue mutates nothing, so the channel stays clean.
+			r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
+			if !c.backoff {
+				c.backoff, c.backoffAt = true, now
+			}
+			c.nextIssueAt = now + cfg.Params.TCK*4
+			return
+		}
+		r.chDirty[ch] = true
+		if c.backoff {
+			req.Span.NoteBackpressure(c.backoffAt)
+			c.backoff = false
+		}
+		c.outstanding++
+		c.fetch(cfg.InstPerNS, now)
+		r.instSeries.Add(now, float64(c.pending.Gap))
+	}
+}
+
 // tickWheel is the event-wheel scheduler. It performs the same three phases
 // as tickStep but touches only the state that can act at this instant:
 //
@@ -509,34 +532,11 @@ func (r *runner) tickStep() {
 // instants is observable, so the wheel steps every channel at every wakeup
 // and advances only on raw Step returns — the exact per-tick behavior.
 func (r *runner) tickWheel() {
-	cfg := r.cfg
 	now := r.now
 
-	// 1. Retire completions due by now (same pass as tickStep); a core that
-	// unstalls re-enters the issue queue at its adjusted issue time.
+	// 1. Retire completions due by now (shared with tickStep).
 	if r.nextDone <= now {
-		nextDone := timing.Forever
-		for i := 0; i < len(r.inflight); {
-			if r.inflight[i].at <= now {
-				c := r.cores[r.inflight[i].core]
-				c.outstanding--
-				if c.stalled {
-					c.stalled = false
-					if c.nextIssueAt < r.inflight[i].at {
-						c.nextIssueAt = r.inflight[i].at
-					}
-					r.coreq.Set(r.inflight[i].core, c.nextIssueAt)
-				}
-				r.inflight[i] = r.inflight[len(r.inflight)-1]
-				r.inflight = r.inflight[:len(r.inflight)-1]
-			} else {
-				if r.inflight[i].at < nextDone {
-					nextDone = r.inflight[i].at
-				}
-				i++
-			}
-		}
-		r.nextDone = nextDone
+		r.retire(now)
 	}
 
 	// 2. Pop the due cores and replay them in core-index order — tickStep
@@ -559,42 +559,8 @@ func (r *runner) tickWheel() {
 		}
 	}
 	for _, id := range due {
-		c := r.cores[id]
-		for !c.stalled && c.nextIssueAt <= now {
-			if c.outstanding >= cfg.MSHR {
-				c.stalled = true
-				break
-			}
-			req := r.getReq()
-			*req = memctrl.Request{
-				Core:   id,
-				Bank:   c.pending.Bank,
-				Row:    c.pending.Row,
-				Col:    c.pending.Col,
-				Write:  c.pending.Write,
-				Arrive: now,
-			}
-			ok, ch := r.mc.EnqueueCh(req)
-			if !ok {
-				// Bank queue full: retry after a short backoff. A failed
-				// enqueue mutates nothing, so the channel stays clean.
-				r.freeReqs = append(r.freeReqs, req) //shadowvet:ignore allocflow -- slab return: freeReqs capacity came from the pops that emptied it
-				if !c.backoff {
-					c.backoff, c.backoffAt = true, now
-				}
-				c.nextIssueAt = now + cfg.Params.TCK*4
-				break
-			}
-			r.chDirty[ch] = true
-			if c.backoff {
-				req.Span.NoteBackpressure(c.backoffAt)
-				c.backoff = false
-			}
-			c.outstanding++
-			c.fetch(cfg.InstPerNS, now)
-			r.instSeries.Add(now, float64(c.pending.Gap))
-		}
-		if !c.stalled {
+		r.issue(id, now)
+		if c := r.cores[id]; !c.stalled {
 			r.coreq.Set(id, c.nextIssueAt)
 		}
 	}
@@ -742,8 +708,6 @@ func subStats(a, w memctrl.Stats) memctrl.Stats {
 	a.SkippedRFMs -= w.SkippedRFMs
 	a.Swaps -= w.Swaps
 	a.TRRs -= w.TRRs
-	a.RowHits -= w.RowHits
-	a.RowMisses -= w.RowMisses
 	a.ReadLatency -= w.ReadLatency
 	a.CompletedReads -= w.CompletedReads
 	a.CompletedWrites -= w.CompletedWrites

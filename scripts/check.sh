@@ -50,19 +50,6 @@ go run ./cmd/shadowvet ./internal/obs/span
 echo "==> shadowvet (flight recorder)"
 go run ./cmd/shadowvet ./internal/obs/flight
 
-# The fleet aggregator renders merged expositions that must be byte-identical
-# across renders (determinism) and is fed concurrently from sweep workers,
-# the scrape poller, and HTTP handlers (nilguard/sharedflow); gate it by name
-# so a package move can't silently drop it from the registries.
-echo "==> shadowvet (fleet aggregator)"
-go run ./cmd/shadowvet ./internal/obs/fleet
-
-# The fleet collector is the one component whose whole job is cross-goroutine
-# merging; its tests run under the race detector on their own lane so a
-# synchronization regression there fails loudly and fast.
-echo "==> go test -race (fleet collector)"
-go test -race ./internal/obs/fleet
-
 # Self-check: the analyzer framework — including the cfg package the
 # flow-sensitive analyzers are built on — must pass its own suite. Gated
 # by name so a refactor of internal/analysis can't waive itself out.
