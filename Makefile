@@ -30,22 +30,13 @@ lint:
 fmt:
 	gofmt -w cmd internal examples ./*.go
 
-# Three passes over every benchmark as a smoke test, plus a machine-readable
-# report ($(BENCH_OUT)): shadowbench echoes the benchmark output through
-# and appends headline per-scheme simulation stats with the shadowtap blame
-# split. -benchmem feeds allocs/op into the report so the zero-alloc hot
-# path is pinned by data, not just by the regression tests. -benchtime 3x keeps the
-# single-iteration noise of the heavyweight BenchmarkSim lanes out of the
-# trajectory (ns/op is still the per-iteration average). Each run also
-# appends one line to BENCH_history.jsonl (git rev + every benchmark), the
-# trajectory scripts/check.sh warns against. Set BENCH_BEFORE=<prior
-# report.json> to embed before/after comparisons (speedup, alloc reduction)
-# against an earlier run. For real measurements run with -count=10 and
-# compare with benchstat (see README "Observability & profiling").
-BENCH_OUT ?= BENCH_pr10.json
+# Every benchmark with allocation counts, in the text format benchstat
+# reads; for a before/after comparison run the same go test line with
+# -count=10 on each side (see README "Observability & profiling").
+# End-to-end and per-layer numbers come from the repository benchmark,
+# `bash _perfbench/run.sh` (see BENCHMARK.json).
 bench:
-	go test -bench . -benchmem -benchtime 3x -run '^$$' ./... | \
-		go run ./cmd/shadowbench -o $(BENCH_OUT) $(if $(BENCH_BEFORE),-before $(BENCH_BEFORE))
+	go test -bench . -benchmem -run '^$$' ./...
 
 verify:
 	./scripts/check.sh

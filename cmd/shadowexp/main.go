@@ -52,35 +52,17 @@ func main() {
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump to this JSON file at exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the harness")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
-	pertick := flag.Bool("pertick", false, "use the per-tick scheduler instead of the event wheel (bit-identical results, differential baseline)")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		exitOn(err)
-		exitOn(pprof.StartCPUProfile(f))
-		defer func() { pprof.StopCPUProfile(); f.Close() }()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC()
-			pprof.WriteHeapProfile(f)
-			f.Close()
-		}()
-	}
+	startProfiles(*cpuprofile, *memprofile)
+	defer stopProfiles()
 
 	o := exp.RunOpts{
-		Duration:   timing.Tick(*durationUS) * timing.Microsecond,
-		Warmup:     timing.Tick(*warmupUS) * timing.Microsecond,
-		Cores:      *cores,
-		Seed:       *seed,
-		Workers:    *workers,
-		NoTimeSkip: *pertick,
+		Duration: timing.Tick(*durationUS) * timing.Microsecond,
+		Warmup:   timing.Tick(*warmupUS) * timing.Microsecond,
+		Cores:    *cores,
+		Seed:     *seed,
+		Workers:  *workers,
 	}
 	// Flight recording is opt-in here (unlike shadowsim): attaching probes
 	// forces the point sweep sequential, so the default stays parallel.
@@ -241,7 +223,7 @@ func main() {
 		for _, n := range strings.Split(*experiment, ",") {
 			if _, ok := runners[n]; !ok {
 				fmt.Fprintf(os.Stderr, "unknown experiment %q (choose from %s)\n", n, strings.Join(order, ", "))
-				os.Exit(2)
+				exit(2)
 			}
 			names = append(names, n)
 		}
@@ -254,7 +236,7 @@ func main() {
 		r, err := runners[n]()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", n, err)
-			os.Exit(1)
+			exit(1)
 		}
 		if *progress {
 			line := fmt.Sprintf("[%d/%d] %s done in %v", i+1, len(names), n, time.Since(start).Round(time.Millisecond))
@@ -315,8 +297,53 @@ func main() {
 		insShutdown()
 	}
 	if tr := watch.Tripped(); tr != nil {
-		os.Exit(1)
+		exit(1)
 	}
+}
+
+// Profiling hooks. stopProfiles is idempotent and must run before any
+// os.Exit so the pprof files are complete: exit and exitOn call it.
+var profileState struct {
+	cpu     *os.File
+	memPath string
+	stopped bool
+}
+
+func startProfiles(cpuPath, memPath string) {
+	profileState.memPath = memPath
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		exitOn(err)
+		exitOn(pprof.StartCPUProfile(f))
+		profileState.cpu = f
+	}
+}
+
+func stopProfiles() {
+	if profileState.stopped {
+		return
+	}
+	profileState.stopped = true
+	if profileState.cpu != nil {
+		pprof.StopCPUProfile()
+		profileState.cpu.Close()
+	}
+	if profileState.memPath != "" {
+		f, err := os.Create(profileState.memPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return
+		}
+		runtime.GC()
+		pprof.WriteHeapProfile(f)
+		f.Close()
+	}
+}
+
+// exit stops the profiles and exits with code.
+func exit(code int) {
+	stopProfiles()
+	os.Exit(code)
 }
 
 // dumpFlightOnPanic best-effort writes the frozen ring during a panic unwind:
@@ -340,6 +367,6 @@ func dumpFlightOnPanic(watch *flight.Watch, path string) {
 func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		exit(1)
 	}
 }

@@ -62,7 +62,6 @@ func main() {
 	flightOut := flag.String("flight-out", "", "write the flight-recorder dump (event window + watchdog trip) to this JSON file at exit")
 	stallP99US := flag.Int64("stall-p99-us", 0, "arm the stall-spike watchdog: trip when the p99 request stall over the trailing window exceeds this many simulated microseconds (0 disables)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the simulator")
-	pertick := flag.Bool("pertick", false, "use the per-tick scheduler instead of the event wheel (bit-identical results, differential baseline)")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit")
 	flag.Parse()
 
@@ -118,7 +117,7 @@ func main() {
 	}
 
 	if *attack != "" {
-		runAttack(*attack, exp.Scheme(*scheme), g, geo, *hcnt, *blast, *acts, *seed, o.Duration, probe, *pertick)
+		runAttack(*attack, exp.Scheme(*scheme), g, geo, *hcnt, *blast, *acts, *seed, o.Duration, probe)
 		writeObs(rec, *traceOut, *metricsOut)
 		if *timeline {
 			printTimeline(rec, 0)
@@ -223,14 +222,13 @@ func main() {
 
 	res, err := sim.Run(sim.Config{
 		Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
-		Hammer:     hammer.Config{HCnt: *hcnt, BlastRadius: *blast},
-		Workload:   workloads,
-		Duration:   o.Duration,
-		OnCommand:  onCmd,
-		Probe:      probe,
-		Spans:      spans,
-		Progress:   progressFn,
-		NoTimeSkip: *pertick,
+		Hammer:    hammer.Config{HCnt: *hcnt, BlastRadius: *blast},
+		Workload:  workloads,
+		Duration:  o.Duration,
+		OnCommand: onCmd,
+		Probe:     probe,
+		Spans:     spans,
+		Progress:  progressFn,
 	})
 	hb.Done()
 	ins.Done()
@@ -482,21 +480,20 @@ func attackPattern(name string, geo dram.Geometry) (trace.Pattern, error) {
 
 // runAttack mounts a Row Hammer pattern against the configured device and
 // reports flips plus a full integrity scrub.
-func runAttack(pattern string, scheme exp.Scheme, g timing.Grade, geo dram.Geometry, hcnt, blast int, acts int64, seed uint64, duration timing.Tick, probe *obs.Probe, pertick bool) {
+func runAttack(pattern string, scheme exp.Scheme, g timing.Grade, geo dram.Geometry, hcnt, blast int, acts int64, seed uint64, duration timing.Tick, probe *obs.Probe) {
 	pat, err := attackPattern(pattern, geo)
 	exitOn(err)
 	pt := exp.Point{Scheme: scheme, HCnt: hcnt, Blast: blast, Grade: g, Seed: seed}
 	p, dm, mcside := pt.Build(geo, duration)
 	res, err := sim.RunAttack(sim.AttackConfig{
-		Params:     p,
-		Geometry:   geo,
-		Hammer:     hammer.Config{HCnt: hcnt, BlastRadius: blast},
-		DeviceMit:  dm,
-		MCSide:     mcside,
-		MaxActs:    acts,
-		Duration:   timing.Forever / 2,
-		Probe:      probe,
-		NoTimeSkip: pertick,
+		Params:    p,
+		Geometry:  geo,
+		Hammer:    hammer.Config{HCnt: hcnt, BlastRadius: blast},
+		DeviceMit: dm,
+		MCSide:    mcside,
+		MaxActs:   acts,
+		Duration:  timing.Forever / 2,
+		Probe:     probe,
 	}, pat)
 	exitOn(err)
 	fmt.Printf("attack=%s scheme=%s hcnt=%d blast=%d\n", pat.Name(), scheme, hcnt, blast)

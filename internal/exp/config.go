@@ -25,11 +25,13 @@
 //     RRS swaps at H_cnt/6 (the paper's favorable configuration) with a 4 us
 //     channel-blocking swap.
 //
-// Short-horizon scaling: full refresh windows (32 ms) are too long for test
-// and benchmark budgets, so window-relative thresholds (BlockHammer
-// blacklist, RRS swap) are scaled by Duration/tREFW, preserving the *rate*
-// of mitigation events per unit time; throttle delays are unchanged by
-// construction. Running with Duration >= tREFW disables the scaling.
+// No short-horizon scaling: the window-relative schemes (BlockHammer's
+// blacklist epochs and throttle budget, the RRS and Graphene counter
+// resets) get the full refresh window tREFW (32 ms) and unscaled thresholds
+// whatever the simulated Duration. On a horizon much shorter than tREFW such
+// a scheme may never act: at 60 us BlockHammer blacklists no row and runs
+// exactly like baseline. Fig. 11 therefore warms its trackers for 1 ms and
+// measures at least 500 us.
 package exp
 
 import (
@@ -115,15 +117,15 @@ type Point struct {
 	Seed       uint64
 }
 
-// Build assembles the timing parameters and mitigators for a point.
-// Duration is needed to time-scale window-relative thresholds.
-func (pt Point) Build(geo dram.Geometry, duration timing.Tick) (*timing.Params, dram.Mitigator, mitigate.MCSide) {
+// Build assembles the timing parameters and mitigators for a point. The
+// second argument, the simulated duration, is unused: thresholds are never
+// scaled to the horizon (see the package doc).
+func (pt Point) Build(geo dram.Geometry, _ timing.Tick) (*timing.Params, dram.Mitigator, mitigate.MCSide) {
 	base := timing.NewParams(pt.Grade)
 	blast := pt.Blast
 	if blast == 0 {
 		blast = 3
 	}
-	_ = duration
 
 	switch pt.Scheme {
 	case Baseline:
@@ -233,14 +235,6 @@ type RunOpts struct {
 	// label, its current simulated time, and its total horizon (drives the
 	// live -inspect endpoint). Setting it forces Workers=1.
 	Progress func(label string, now, total timing.Tick)
-	// FullRescan runs every simulation with the pre-event-driven full-rescan
-	// scheduler (see sim.Config.FullRescan): the scheduler-overhead baseline
-	// for BenchmarkSim and the equivalence tests.
-	FullRescan bool
-	// NoTimeSkip runs every simulation with the per-tick scheduler loop
-	// instead of the tick-skipping event wheel (see sim.Config.NoTimeSkip):
-	// the wall-clock baseline for BenchmarkSim and the equivalence tests.
-	NoTimeSkip bool
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -308,9 +302,6 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 		Probe:    probe,
 		Spans:    spans,
 		Progress: progress,
-
-		FullRescan: o.FullRescan,
-		NoTimeSkip: o.NoTimeSkip,
 	})
 	if err != nil {
 		return 0, nil, err
@@ -371,7 +362,7 @@ var (
 )
 
 func baselineRun(grade timing.Grade, profiles []trace.Profile, geo dram.Geometry, o RunOpts) (*sim.Result, error) {
-	key := fmt.Sprintf("%v/%d/%d/%d/%d/%d/%v/%v", grade, o.Duration, o.Warmup, o.Cores, o.Seed, o.Subarrays, o.FullRescan, o.NoTimeSkip)
+	key := fmt.Sprintf("%v/%d/%d/%d/%d/%d", grade, o.Duration, o.Warmup, o.Cores, o.Seed, o.Subarrays)
 	for _, p := range profiles {
 		key += "," + p.Name
 	}
@@ -387,9 +378,6 @@ func baselineRun(grade timing.Grade, profiles []trace.Profile, geo dram.Geometry
 		Workload: trace.Generators(profiles, geo, o.Seed),
 		Duration: o.Duration + o.Warmup,
 		Warmup:   o.Warmup,
-
-		FullRescan: o.FullRescan,
-		NoTimeSkip: o.NoTimeSkip,
 	})
 	if err != nil {
 		return nil, err
