@@ -22,7 +22,7 @@ type AdversarialResult struct {
 func Adversarial(o RunOpts) (AdversarialResult, *Table, error) {
 	o = o.withDefaults()
 	geo := o.Geometry(timing.DDR4_2666)
-	mk := func(pt Point, rfm bool) (float64, error) {
+	mk := func(label string, pt Point, rfm bool) (float64, error) {
 		p, dm, mc := pt.Build(geo, o.Duration)
 		if !rfm {
 			p.RAAIMT = 0 // isolate the tRCD' effect
@@ -43,7 +43,7 @@ func Adversarial(o RunOpts) (AdversarialResult, *Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := sim.Run(sim.Config{
+		res, err := o.run(label, sim.Config{
 			Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
 			Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
 			Workload: gen(),
@@ -59,12 +59,12 @@ func Adversarial(o RunOpts) (AdversarialResult, *Table, error) {
 	var out AdversarialResult
 	var err error
 	// tRCD-only bound.
-	out.TRCDOnly, err = mk(Point{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, Seed: o.Seed}, false)
+	out.TRCDOnly, err = mk("trcd-only", Point{Scheme: Shadow, HCnt: 4096, Grade: timing.DDR4_2666, Seed: o.Seed}, false)
 	if err != nil {
 		return out, nil, err
 	}
 	// Max-RFM bound: the lowest RAAIMT SHADOW ever uses (H_cnt 2K -> 32).
-	out.Full, err = mk(Point{Scheme: Shadow, HCnt: 2048, Grade: timing.DDR4_2666, Seed: o.Seed}, true)
+	out.Full, err = mk("max-rfm", Point{Scheme: Shadow, HCnt: 2048, Grade: timing.DDR4_2666, Seed: o.Seed}, true)
 	if err != nil {
 		return out, nil, err
 	}

@@ -43,8 +43,10 @@ import (
 	"shadow/internal/circuit"
 	"shadow/internal/dram"
 	"shadow/internal/hammer"
+	"shadow/internal/memctrl"
 	"shadow/internal/mitigate"
 	"shadow/internal/obs"
+	"shadow/internal/obs/flight"
 	"shadow/internal/obs/span"
 	"shadow/internal/security"
 	"shadow/internal/shadow"
@@ -235,6 +237,11 @@ type RunOpts struct {
 	// label, its current simulated time, and its total horizon (drives the
 	// live -inspect endpoint). Setting it forces Workers=1.
 	Progress func(label string, now, total timing.Tick)
+	// record, when set, observes every scheme run of a figure: its label,
+	// its result and the FNV hash of its command stream. The results
+	// digest test uses it to pin every simulated number across changes.
+	// It may be called from several sweep workers at once.
+	record func(label string, res *sim.Result, cmdHash uint64)
 }
 
 func (o RunOpts) withDefaults() RunOpts {
@@ -293,7 +300,7 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 	if o.Progress != nil {
 		progress = func(now timing.Tick) { o.Progress(label, now, total) }
 	}
-	res, err := sim.Run(sim.Config{
+	res, err := o.run(label, sim.Config{
 		Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
 		Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
 		Workload: trace.Generators(profiles, geo, o.Seed),
@@ -307,6 +314,21 @@ func runPoint(pt Point, profiles []trace.Profile, o RunOpts) (float64, *sim.Resu
 		return 0, nil, err
 	}
 	return sim.WeightedSpeedup(res, baseRes), res, nil
+}
+
+// run simulates one scheme run and hands it to o.record when that is set.
+// Figures run one channel, so the command hash leaves the channel out.
+func (o RunOpts) run(label string, cfg sim.Config) (*sim.Result, error) {
+	if o.record == nil {
+		return sim.Run(cfg)
+	}
+	h := flight.NewCmdHash()
+	cfg.OnCommand = func(_ int, c memctrl.Cmd) { h.Note(int(c.Kind), c.Bank, c.Row, c.At) }
+	res, err := sim.Run(cfg)
+	if err == nil {
+		o.record(label, res, h.Sum())
+	}
+	return res, err
 }
 
 // pointLabel names a scheme run's shadowscope track. The label must be

@@ -56,7 +56,7 @@ func Fig12(o RunOpts) ([]PowerPoint, *Table, error) {
 		for _, h := range hcnts {
 			pt := Point{Scheme: Shadow, HCnt: h, Grade: timing.DDR4_2666, Seed: o.Seed}
 			p, dm, mc := pt.Build(geo, o.Duration)
-			res, err := sim.Run(sim.Config{
+			res, err := o.run(pointLabel(pt, profiles), sim.Config{
 				Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,
 				Hammer:   hammer.Config{HCnt: 1 << 30, BlastRadius: 3},
 				Workload: trace.Generators(profiles, geo, o.Seed),
