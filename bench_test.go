@@ -43,12 +43,13 @@ func benchOpts() exp.RunOpts {
 // legacy full-rescan per-tick scheduler kept compiled for the equivalence
 // matrix (rescan — the double-oracle). A fourth lane, mix-low, runs the
 // idle-heavy sub-1-MPKI workload where the wheel's jumps dominate: its
-// timeskip-vs-event ratio is the wheel's headline speedup. Every
-// non-baseline lane must show its scheme acting (see benchSimOpts); there
-// is no BlockHammer lane because its per-tREFW budget never blacklists a
-// row on this 60 us horizon (the fig11-ddr5 workload of `bash
-// _perfbench/run.sh` measures it where it fires). Run with -benchmem and
-// compare runs with benchstat.
+// timeskip-vs-event ratio is the wheel's headline speedup. Two tracker
+// lanes, rrs and graphene, run the Space-Saving tracker on every ACT at
+// Fig. 11's low-H_cnt corner. Every non-baseline lane must show its scheme
+// acting (see benchSimOpts); there is no BlockHammer lane because its
+// per-tREFW budget never blacklists a row on these horizons (the
+// fig11-ddr5 workload of `bash _perfbench/run.sh` measures it where it
+// fires). Run with -benchmem and compare runs with benchstat.
 func BenchmarkSim(b *testing.B) {
 	schemes := []exp.Scheme{exp.Baseline, exp.Shadow, exp.MithrilPerf}
 	modes := []struct {
@@ -65,9 +66,22 @@ func BenchmarkSim(b *testing.B) {
 		for _, mode := range modes {
 			mode := mode
 			b.Run(string(scheme)+"/"+mode.name, func(b *testing.B) {
-				benchSim(b, scheme, trace.MixHigh(benchOpts().Cores), mode.flight, mode.probed, mode.rescan, mode.pertick)
+				o := benchOpts()
+				benchSimOpts(b, o, ddr4Point(scheme), trace.MixHigh(o.Cores), mode.flight, mode.probed, mode.rescan, mode.pertick)
 			})
 		}
+	}
+	// The tracker lanes: DDR5-4800 at H_cnt 2K with 4-core mix-high, whose
+	// mcf rows cross the RRS swap and Graphene refresh thresholds within
+	// 600 us (TestFig11PointCrossover's operating point). Only the shipped
+	// scheduler: the tracker sits below the scheduler axis.
+	for _, scheme := range []exp.Scheme{exp.RRS, exp.Graphene} {
+		b.Run(string(scheme)+"/ddr5-2k", func(b *testing.B) {
+			o := benchOpts()
+			o.Duration = 600 * timing.Microsecond
+			pt := exp.Point{Scheme: scheme, HCnt: 2048, Grade: timing.DDR5_4800}
+			benchSimOpts(b, o, pt, trace.MixHigh(o.Cores), false, false, false, false)
+		})
 	}
 	// The idle-heavy lane: no telemetry variants, just the scheduler axis.
 	// 64 sub-1-MPKI cores on a long horizon is the wheel's headline shape —
@@ -85,17 +99,20 @@ func BenchmarkSim(b *testing.B) {
 			o := benchOpts()
 			o.Cores = 64
 			o.Duration = timing.Millisecond
-			benchSimOpts(b, o, exp.Shadow, trace.MixLow(o.Cores), false, false, mode.rescan, mode.pertick)
+			benchSimOpts(b, o, ddr4Point(exp.Shadow), trace.MixLow(o.Cores), false, false, mode.rescan, mode.pertick)
 		})
 	}
 }
 
-func benchSim(b *testing.B, scheme exp.Scheme, profiles []trace.Profile, flighted, probed, rescan, pertick bool) {
-	benchSimOpts(b, benchOpts(), scheme, profiles, flighted, probed, rescan, pertick)
+// ddr4Point is the DDR4-2666 lanes' operating point: H_cnt 4K, blast 3.
+func ddr4Point(scheme exp.Scheme) exp.Point {
+	return exp.Point{Scheme: scheme, HCnt: 4096, Blast: 3, Grade: timing.DDR4_2666}
 }
 
-func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []trace.Profile, flighted, probed, rescan, pertick bool) {
-	geo := o.Geometry(timing.DDR4_2666)
+func benchSimOpts(b *testing.B, o exp.RunOpts, pt exp.Point, profiles []trace.Profile, flighted, probed, rescan, pertick bool) {
+	pt.Seed = o.Seed
+	scheme := pt.Scheme
+	geo := o.Geometry(pt.Grade)
 	for i := range profiles {
 		if profiles[i].WorkingSetRows > geo.PARowsPerBank() {
 			profiles[i].WorkingSetRows = geo.PARowsPerBank()
@@ -105,12 +122,10 @@ func benchSimOpts(b *testing.B, o exp.RunOpts, scheme exp.Scheme, profiles []tra
 	// Warm process-level caches (the Table II security analytics behind
 	// scheme construction) outside the timed region so ns/op reflects
 	// steady-state simulation cost rather than first-call setup.
-	warm := exp.Point{Scheme: scheme, HCnt: 4096, Blast: 3, Grade: timing.DDR4_2666, Seed: o.Seed}
-	warm.Build(geo, o.Duration)
+	pt.Build(geo, o.Duration)
 	b.ResetTimer()
 	var res *sim.Result
 	for i := 0; i < b.N; i++ {
-		pt := exp.Point{Scheme: scheme, HCnt: 4096, Blast: 3, Grade: timing.DDR4_2666, Seed: o.Seed}
 		p, dm, mc := pt.Build(geo, o.Duration)
 		cfg := sim.Config{
 			Params: p, Geometry: geo, DeviceMit: dm, MCSide: mc,

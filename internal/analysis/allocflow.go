@@ -41,6 +41,14 @@ var allocRoots = map[string]string{
 	"minq.Queue.Pop":      "the readiness-cache pop",
 	"minq.Queue.Key":      "the readiness-cache key lookup",
 	"minq.Queue.Contains": "the readiness-cache membership probe",
+	// The Space-Saving tracker shared by Mithril, RRS and Graphene: one
+	// Observe per ACT, the rest per mitigation or refresh window. The
+	// dynamic side is mitigate.TestTrackerZeroAllocs.
+	"mitigate.Tracker.Observe":   "the frequent-row tracker update",
+	"mitigate.Tracker.Mitigated": "the tracker demotion to the table minimum",
+	"mitigate.Tracker.ResetRow":  "the tracker per-row count reset",
+	"mitigate.Tracker.Remove":    "the tracker row removal",
+	"mitigate.Tracker.Reset":     "the tracker refresh-window reset",
 	// The flight recorder's ring write, teed from Recorder.emit on every
 	// DRAM command in the always-on telemetry configuration.
 	"flight.Ring.Record": "the flight-ring event write",

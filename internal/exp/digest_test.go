@@ -18,6 +18,9 @@ var update = flag.Bool("update", false, "rewrite testdata/results.digest from th
 
 const digestPath = "testdata/results.digest"
 
+// raceEnabled is set in race-detector builds (race_enabled_test.go).
+var raceEnabled bool
+
 // TestResultsDigest pins the reproduced results across changes: a reduced-
 // scale run of Figures 8-12 and the Section VII-C adversarial bound, with
 // every point's value at fixed precision and every scheme run's controller
@@ -75,12 +78,12 @@ func resultsDigest(t *testing.T) string {
 		// Sweep workers finish in any order; sorting by label fixes it.
 		var (
 			mu   sync.Mutex
-			runs []string
+			runs [][2]string // label, runLine
 		)
 		o.record = func(label string, res *sim.Result, cmdHash uint64) {
 			mu.Lock()
 			defer mu.Unlock()
-			runs = append(runs, fmt.Sprintf("%s run %s %s", name, label, runLine(res, cmdHash)))
+			runs = append(runs, [2]string{label, runLine(res, cmdHash)})
 		}
 		points, err := run(o)
 		if err != nil {
@@ -89,12 +92,12 @@ func resultsDigest(t *testing.T) string {
 		for _, p := range points {
 			fmt.Fprintf(&b, "%s point %s\n", name, p)
 		}
-		sort.Strings(runs)
+		sort.Slice(runs, func(i, j int) bool { return runs[i][0] < runs[j][0] })
 		for i, r := range runs {
-			if i > 0 && strings.Fields(r)[2] == strings.Fields(runs[i-1])[2] {
-				t.Errorf("%s: run label %q recorded twice", name, strings.Fields(r)[2])
+			if i > 0 && r[0] == runs[i-1][0] {
+				t.Errorf("%s: run label %q recorded twice", name, r[0])
 			}
-			fmt.Fprintln(&b, r)
+			fmt.Fprintf(&b, "%s run %s %s\n", name, r[0], r[1])
 		}
 	}
 	perf := func(fig func(RunOpts) ([]PerfPoint, *Table, error)) func(RunOpts) ([]string, error) {

@@ -2,5 +2,4 @@
 
 package exp
 
-// raceEnabled reports that this binary was built with the race detector.
-const raceEnabled = true
+func init() { raceEnabled = true }

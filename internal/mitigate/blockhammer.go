@@ -135,7 +135,7 @@ func (bh *BlockHammer) rotate(b *bhBank, now timing.Tick) {
 		b.epochStart += bh.cfg.REFW / 2
 		// Blacklist status must be re-earned each epoch.
 		bh.throttleRows -= len(b.lastACT)
-		b.lastACT = make(map[int]timing.Tick)
+		clear(b.lastACT)
 	}
 }
 

@@ -79,6 +79,30 @@ go run ./cmd/shadowvet ./examples/...
 echo "==> scheduler equivalence (2x2 matrix)"
 go test -run 'TestSchedulerEquivalence' ./internal/sim/
 
+# The reproduced-results digest and the tracker contracts. The digest pins
+# every figure's simulated numbers across changes; it skips itself under the
+# race detector, so this uninstrumented lane is where the gate runs it. The
+# heap-backed Space-Saving tracker must match its map-scan oracle op for op
+# and stay allocation-free (the dynamic side of its allocflow roots). Each
+# test must report PASS by name, so a rename or deletion cannot drop it
+# quietly.
+require_pass() {
+    local pkg=$1 out t
+    shift
+    out=$(go test -count=1 -v -run "^($(IFS='|'; echo "$*"))\$" "$pkg") || { echo "$out"; exit 1; }
+    for t in "$@"; do
+        if ! grep -q -- "^--- PASS: $t " <<<"$out"; then
+            echo "$out"
+            echo "check.sh: $t did not run and pass in $pkg" >&2
+            exit 1
+        fi
+        echo "ok  $pkg $t"
+    done
+}
+echo "==> results digest + tracker contracts"
+require_pass ./internal/exp/ TestResultsDigest
+require_pass ./internal/mitigate/ TestTrackerMatchesReference TestTrackerZeroAllocs
+
 echo "==> go test -race"
 go test -race ./...
 
